@@ -232,9 +232,9 @@ class AtomicWriteRule(Rule):
     severity = "error"
     autofixable = False
     description = (
-        "bare truncating open(path, 'w') tears files under crashes "
-        "and racing writers; persisted artifacts go through "
-        "repro.utils.atomic (temp file + rename)"
+        "bare truncating open(path, 'w') or Path.write_text/write_bytes "
+        "tears files under crashes and racing writers; persisted "
+        "artifacts go through repro.utils.atomic (temp file + rename)"
     )
 
     _MODE_CHARS = frozenset("rwxab+tU")
@@ -263,6 +263,14 @@ class AtomicWriteRule(Rule):
             return
         for call in _calls(module.tree):
             func = call.func
+            if isinstance(func, ast.Attribute) \
+                    and func.attr in ("write_text", "write_bytes"):
+                yield self.finding(
+                    module, call,
+                    f"truncating Path.{func.attr}() is not crash-safe; "
+                    "write through repro.utils.atomic",
+                )
+                continue
             if isinstance(func, ast.Name) and func.id == "open":
                 pass
             elif isinstance(func, ast.Attribute) and func.attr == "open":

@@ -80,6 +80,7 @@ from repro.scheduler.serialize import (
 )
 from repro.solver.scheduled import scheduled_sptrsv
 from repro.solver.sptrsv import forward_substitution
+from repro.utils.atomic import atomic_write_text
 from repro.utils.timing import Timer
 
 __all__ = ["main", "build_parser"]
@@ -1270,8 +1271,8 @@ def _cmd_bench(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         for name, payload in results.items():
             path = outdir / f"BENCH_{name}.json"
-            path.write_text(
-                json.dumps(_json_sanitize(payload), indent=2) + "\n"
+            atomic_write_text(
+                path, json.dumps(_json_sanitize(payload), indent=2) + "\n"
             )
             print(f"wrote {path}")
 
@@ -1482,7 +1483,6 @@ def _cmd_obs(args) -> int:
     from repro.experiments.tables import format_table
     from repro.obs import default_dir
     from repro.obs.export import load_dir, prometheus_text, report
-    from repro.utils.atomic import atomic_write_text
 
     directory = args.dir if args.dir is not None else default_dir()
     snapshot, events = load_dir(directory)

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.utils.atomic import atomic_write_text
+
 __all__ = ["ExperimentRecord", "ReproductionReport"]
 
 
@@ -80,4 +82,4 @@ class ReproductionReport:
         return "\n".join(lines)
 
     def write(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_markdown(), encoding="utf-8")
+        atomic_write_text(path, self.to_markdown())

@@ -8,12 +8,12 @@ are thin wrappers over these.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 
 from repro.errors import ReproError
 from repro.obs.metrics import snapshot_percentile
+from repro.utils.atomic import read_json_lines, read_json_object
 
 __all__ = ["load_dir", "prometheus_text", "report"]
 
@@ -30,28 +30,24 @@ QUEUE_WAIT_METRIC = "service.queue_wait_seconds"
 def load_dir(directory: str | os.PathLike) -> tuple[dict, list[dict]]:
     """Load ``(snapshot, events)`` from an obs directory.
 
-    ``metrics.json`` is required (a missing file raises
+    ``metrics.json`` is required (a missing or torn file raises
     :class:`~repro.errors.ReproError` naming the path); ``trace.jsonl``
-    is optional and yields ``[]`` when absent.
+    is optional and yields ``[]`` when absent (torn lines are skipped).
     """
     directory = os.fspath(directory)
     metrics_path = os.path.join(directory, "metrics.json")
     trace_path = os.path.join(directory, "trace.jsonl")
     try:
-        with open(metrics_path, encoding="utf-8") as fh:
-            snapshot = json.load(fh)
+        snapshot = read_json_object(
+            metrics_path, ReproError, "metrics snapshot"
+        )
     except FileNotFoundError:
         raise ReproError(
             f"no metrics snapshot at {metrics_path!r} — run with "
             f"REPRO_OBS=1 (or --obs-dir) so the service/suite flushes one"
         ) from None
-    events: list[dict] = []
-    if os.path.exists(trace_path):
-        with open(trace_path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    events.append(json.loads(line))
+    events = (list(read_json_lines(trace_path))
+              if os.path.exists(trace_path) else [])
     return snapshot, events
 
 

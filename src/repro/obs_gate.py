@@ -27,9 +27,10 @@ to (default ``.repro-obs``); see :func:`repro.obs.flush`.
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 
 __all__ = ["OBS_DIR_ENV_VAR", "OBS_ENV_VAR", "get_obs", "obs_enabled",
-           "set_enabled"]
+           "obs_span", "set_enabled"]
 
 #: Environment gate: truthy values enable the subsystem.
 OBS_ENV_VAR = "REPRO_OBS"
@@ -72,6 +73,14 @@ def get_obs():
     import repro.obs as obs
 
     return obs
+
+
+def obs_span(name: str, **tags: object):
+    """A ``repro.obs`` span when the gate is on, else a no-op context
+    (yielding ``None``) — for call sites that trace a whole operation
+    and tag it only when a span exists."""
+    obs = get_obs()
+    return obs.span(name, **tags) if obs is not None else nullcontext()
 
 
 def set_enabled(value: bool | None) -> None:

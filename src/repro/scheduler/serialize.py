@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.scheduler.schedule import Schedule
+from repro.utils.atomic import atomic_write_text, read_json_object
 
 __all__ = [
     "schedule_to_dict",
@@ -77,16 +78,20 @@ def schedule_from_dict(data: dict) -> Schedule:
 
 
 def save_schedule_json(schedule: Schedule, path: str | Path) -> None:
-    """Write a schedule as JSON."""
-    Path(path).write_text(
-        json.dumps(schedule_to_dict(schedule)), encoding="ascii"
+    """Write a schedule as JSON (atomically: temp file + rename)."""
+    atomic_write_text(
+        path, json.dumps(schedule_to_dict(schedule)), encoding="ascii"
     )
 
 
 def load_schedule_json(path: str | Path) -> Schedule:
-    """Read a JSON schedule written by :func:`save_schedule_json`."""
+    """Read a JSON schedule written by :func:`save_schedule_json`.
+
+    A torn file, or one that is not a JSON object, raises
+    :class:`~repro.errors.ConfigurationError`.
+    """
     return schedule_from_dict(
-        json.loads(Path(path).read_text(encoding="ascii"))
+        read_json_object(path, ConfigurationError, "schedule file")
     )
 
 

@@ -57,11 +57,9 @@ import hashlib
 import json
 import os
 import platform
-import re
-import tempfile
 import threading
 import zipfile
-from contextlib import nullcontext
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,8 +75,17 @@ from repro.errors import (
     PlanVerificationError,
 )
 from repro.exec.plan import ExecutionPlan
-from repro.obs_gate import get_obs
-from repro.utils.atomic import atomic_write_json
+from repro.obs_gate import get_obs, obs_span
+from repro.store.store import machine_fingerprint
+from repro.utils.atomic import (
+    atomic_open,
+    atomic_write_json,
+    claim_exclusive,
+    open_versioned_dir,
+    read_json_object,
+    remove_files,
+    safe_name,
+)
 
 __all__ = [
     "PLAN_STORE_ENV_VAR",
@@ -124,13 +131,6 @@ ARRAY_FIELDS = (
     "row_step",
     "fused_ptr",
 )
-
-_STEM_UNSAFE = re.compile(r"[^A-Za-z0-9._-]")
-
-
-def _sanitize(value: str) -> str:
-    """Filesystem-safe token (stems embed key components)."""
-    return _STEM_UNSAFE.sub("-", str(value))[:48].strip(".-") or "x"
 
 
 def toolchain_digest() -> str:
@@ -212,11 +212,13 @@ class PlanKey:
         digest = hashlib.sha256(
             json.dumps(self.as_dict(), sort_keys=True).encode()
         ).hexdigest()[:10]
+        matrix, scheduler, dtype = (
+            safe_name(value, 48, "x")
+            for value in (self.matrix_fingerprint, self.scheduler, self.dtype)
+        )
         return (
-            f"plan-{_sanitize(self.matrix_fingerprint)}"
-            f"-{_sanitize(self.scheduler)}-c{int(self.cores)}"
-            f"-f{int(self.fuse_threshold)}-{_sanitize(self.dtype)}"
-            f"-{digest}"
+            f"plan-{matrix}-{scheduler}-c{int(self.cores)}"
+            f"-f{int(self.fuse_threshold)}-{dtype}-{digest}"
         )
 
 
@@ -283,11 +285,6 @@ def _artifact_hash(arrays: dict, scalars: dict) -> str:
     return h.hexdigest()
 
 
-def _obs_span(name: str, **tags: object):
-    obs = get_obs()
-    return obs.span(name, **tags) if obs is not None else nullcontext()
-
-
 class PlanStore:
     """Versioned on-disk store of compiled execution plans.
 
@@ -352,45 +349,15 @@ class PlanStore:
         #: the CLI and tests; informational only).
         self.last_reject: str | None = None
         self._obs = get_obs()
-        if not os.path.isdir(self.path):
-            if os.path.exists(self.path):
-                raise ConfigurationError(
-                    f"plan store path {self.path!r} exists but is not "
-                    "a directory"
-                )
-            if not create:
-                raise ConfigurationError(
-                    f"plan store {self.path!r} does not exist"
-                )
-            os.makedirs(self.path, exist_ok=True)
-        self._check_meta()
+        open_versioned_dir(
+            self.path, META_FILE, {"version": PLAN_STORE_VERSION},
+            versions=(PLAN_STORE_VERSION,), what="plan store",
+            create=create,
+        )
 
     # ------------------------------------------------------------------
-    # meta / layout
+    # layout
     # ------------------------------------------------------------------
-    def _meta_path(self) -> str:
-        return os.path.join(self.path, META_FILE)
-
-    def _check_meta(self) -> None:
-        meta_path = self._meta_path()
-        if os.path.exists(meta_path):
-            with open(meta_path, "r", encoding="utf-8") as fh:
-                try:
-                    meta = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise ConfigurationError(
-                        f"plan store meta {meta_path!s} is not valid "
-                        f"JSON: {exc}"
-                    ) from None
-            version = meta.get("version") if isinstance(meta, dict) else None
-            if version != PLAN_STORE_VERSION:
-                raise ConfigurationError(
-                    f"plan store {self.path!r} has version {version!r}; "
-                    f"this build reads version {PLAN_STORE_VERSION}"
-                )
-        else:
-            atomic_write_json({"version": PLAN_STORE_VERSION}, meta_path)
-
     def _paths(self, key: PlanKey) -> tuple[str, str, str]:
         stem = os.path.join(self.path, key.stem())
         return stem + ".npz", stem + ".json", stem + ".lock"
@@ -443,48 +410,26 @@ class PlanStore:
                 f"dtype={plan.off_vals.dtype})"
             )
         npz_path, sidecar_path, lock_path = self._paths(key)
-        if os.path.exists(sidecar_path):
+        # an existing sidecar is a committed artifact; a held lock is
+        # another writer materializing this key right now
+        if os.path.exists(sidecar_path) or not claim_exclusive(lock_path):
             self._count("save_races")
             return None
         try:
-            lock_fd = os.open(
-                lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY
-            )
-        except FileExistsError:
-            # another writer is materializing this key right now
-            self._count("save_races")
-            return None
-        os.close(lock_fd)
-        try:
-            with _obs_span("plan_store.save", key=key.stem()):
+            with obs_span("plan_store.save", key=key.stem()):
                 arrays = {
                     name: np.ascontiguousarray(getattr(plan, name))
                     for name in ARRAY_FIELDS
                 }
                 scalars = self._sidecar_scalars(plan, key)
-                fd, tmp_path = tempfile.mkstemp(
-                    prefix=key.stem() + ".", suffix=".npz.tmp",
-                    dir=self.path,
-                )
-                try:
-                    with os.fdopen(fd, "wb") as fh:
-                        np.savez(fh, **arrays)
-                    os.replace(tmp_path, npz_path)
-                except BaseException:
-                    try:
-                        os.unlink(tmp_path)
-                    except OSError:
-                        pass
-                    raise
+                with atomic_open(npz_path, "wb") as fh:
+                    np.savez(fh, **arrays)
                 sidecar = dict(scalars)
                 sidecar["content_hash"] = _artifact_hash(arrays, scalars)
-                sidecar["created_by"] = _machine_tag()
+                sidecar["created_by"] = machine_fingerprint()
                 atomic_write_json(sidecar, sidecar_path)
         finally:
-            try:
-                os.unlink(lock_path)
-            except OSError:
-                pass
+            remove_files(lock_path)
         self._count("saves")
         if self.max_bytes is not None:
             self.gc()
@@ -504,19 +449,9 @@ class PlanStore:
     # load
     # ------------------------------------------------------------------
     def _read_sidecar(self, sidecar_path: str) -> dict:
-        try:
-            with open(sidecar_path, "r", encoding="utf-8") as fh:
-                sidecar = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise PlanArtifactCorruptError(
-                f"plan sidecar {sidecar_path!s} is torn or not valid "
-                f"JSON: {exc}"
-            ) from None
-        if not isinstance(sidecar, dict):
-            raise PlanArtifactCorruptError(
-                f"plan sidecar {sidecar_path!s}: expected a JSON object"
-            )
-        return sidecar
+        return read_json_object(
+            sidecar_path, PlanArtifactCorruptError, "plan sidecar"
+        )
 
     def load(
         self,
@@ -547,7 +482,7 @@ class PlanStore:
             raise PlanArtifactMissingError(
                 f"no plan artifact for key {key.stem()!r} in {self.path!r}"
             )
-        with _obs_span("plan_store.load", key=key.stem()):
+        with obs_span("plan_store.load", key=key.stem()):
             sidecar = self._read_sidecar(sidecar_path)
             version = sidecar.get("format_version")
             if version != PLAN_STORE_VERSION:
@@ -639,10 +574,8 @@ class PlanStore:
                 plan, matrix=matrix, schedule=schedule,
                 require_solvable=False,
             )
-        try:
+        with suppress(OSError):
             os.utime(sidecar_path)  # LRU touch
-        except OSError:
-            pass
         self._count("hits")
         return plan
 
@@ -780,12 +713,10 @@ class PlanStore:
         """
         budget = max_bytes if max_bytes is not None else self.max_bytes
         removed = []
-        for name in os.listdir(self.path):
-            if name.endswith(".lock"):
-                try:
-                    os.unlink(os.path.join(self.path, name))
-                except OSError:
-                    pass
+        remove_files(*(
+            os.path.join(self.path, name)
+            for name in os.listdir(self.path) if name.endswith(".lock")
+        ))
         artifacts = self._artifacts()
         total = sum(entry["bytes"] for entry in artifacts)
         before = total
@@ -793,11 +724,7 @@ class PlanStore:
             for entry in sorted(artifacts, key=lambda e: e["mtime"]):
                 if total <= budget:
                     break
-                for path in (entry["npz"], entry["sidecar"]):
-                    try:
-                        os.unlink(path)
-                    except OSError:
-                        pass
+                remove_files(entry["npz"], entry["sidecar"])
                 total -= entry["bytes"]
                 removed.append(entry["stem"])
         if removed:
@@ -813,14 +740,7 @@ class PlanStore:
     def delete(self, key: PlanKey) -> bool:
         """Remove one artifact; returns whether anything existed."""
         npz_path, sidecar_path, _ = self._paths(key)
-        existed = False
-        for path in (sidecar_path, npz_path):
-            try:
-                os.unlink(path)
-                existed = True
-            except OSError:
-                pass
-        return existed
+        return remove_files(sidecar_path, npz_path) > 0
 
     # ------------------------------------------------------------------
     # introspection
@@ -860,10 +780,3 @@ class PlanStore:
             f"hits={self.hits}, misses={self.misses}, "
             f"rejects={self.rejects})"
         )
-
-
-def _machine_tag() -> str:
-    """Provenance tag for sidecars (informational, not hashed)."""
-    from repro.store.store import machine_fingerprint
-
-    return machine_fingerprint()

@@ -37,16 +37,22 @@ import hashlib
 import json
 import os
 import platform
-import re
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from repro.errors import ConfigurationError
-from repro.obs_gate import get_obs
+from repro.obs_gate import obs_span
 from repro.store.prune import coverage_prune
 from repro.tuner.features import MatrixFeatures
-from repro.utils.atomic import atomic_write_json, atomic_write_text
+from repro.utils.atomic import (
+    atomic_write_json,
+    atomic_write_text,
+    claim_exclusive,
+    open_versioned_dir,
+    read_json_lines,
+    read_json_object,
+    safe_name,
+)
 
 __all__ = [
     "MergeStats",
@@ -58,15 +64,6 @@ __all__ = [
     "machine_fingerprint",
     "record_key",
 ]
-
-def _obs_span(name: str, **tags: object):
-    """A ``repro.obs`` span when ``REPRO_OBS`` is on, else a no-op
-    context (yielding ``None``).  Store maintenance operations — merge,
-    prune, retrain — are traced through this so a fleet's data-plane
-    history is reconstructable from the trace."""
-    obs = get_obs()
-    return obs.span(name, **tags) if obs is not None else nullcontext()
-
 
 #: Format version of observation-store directories; bump on
 #: incompatible changes.
@@ -89,17 +86,8 @@ _SHARD_SUFFIX = ".jsonl"
 #: stale as soon as it has any observation at all.
 DEFAULT_RETRAIN_MIN_NEW = 100
 
-
-#: Characters allowed in a fingerprint — it names shard files, so path
-#: separators and other filesystem-meaningful characters are replaced.
-_FINGERPRINT_UNSAFE = re.compile(r"[^A-Za-z0-9._-]")
-
-
-def _sanitize_fingerprint(value: str) -> str:
-    """Filesystem-safe form of a fingerprint (shard names embed it)."""
-    # strip(".-") is the char-set form on purpose: trim any run of dots
-    # and dashes from both ends, not the literal prefix/suffix ".-"
-    return _FINGERPRINT_UNSAFE.sub("-", str(value))[:64].strip(".-")  # noqa: B005
+#: Longest fingerprint kept in shard file names.
+_FINGERPRINT_MAX_LEN = 64
 
 
 def machine_fingerprint() -> str:
@@ -121,7 +109,7 @@ def machine_fingerprint() -> str:
     """
     override = os.environ.get("REPRO_MACHINE_FINGERPRINT")
     if override:
-        sanitized = _sanitize_fingerprint(override)
+        sanitized = safe_name(override, _FINGERPRINT_MAX_LEN)
         if sanitized:
             return sanitized
     payload = "|".join(
@@ -244,27 +232,21 @@ class ObservationStore:
     ) -> None:
         self.path = os.fspath(path) if path is not None else None
         self.fingerprint = (
-            _sanitize_fingerprint(fingerprint) if fingerprint else ""
+            safe_name(fingerprint, _FINGERPRINT_MAX_LEN) if fingerprint else ""
         ) or machine_fingerprint()
         #: Records owned by this writer (flushed into its claimed shard).
         self._writer_records: list[dict] = []
         self._writer_shard: str | None = None
         self._dirty = False
         self._hash_index: set[str] | None = None
-        if self.path is None:
-            return
-        if not os.path.isdir(self.path):
-            if os.path.exists(self.path):
-                raise ConfigurationError(
-                    f"observation store path {self.path!r} exists but "
-                    "is not a directory"
-                )
-            if not create:
-                raise ConfigurationError(
-                    f"observation store {self.path!r} does not exist"
-                )
-            os.makedirs(self.path, exist_ok=True)
-        self._check_meta()
+        if self.path is not None:
+            # a meta file without a version field reads as the current
+            # version
+            open_versioned_dir(
+                self.path, META_FILE, {"version": STORE_VERSION, "trained": {}},
+                versions=(STORE_VERSION, None),
+                what="observation store", create=create,
+            )
 
     # ------------------------------------------------------------------
     # meta
@@ -276,35 +258,13 @@ class ObservationStore:
     def _read_meta(self) -> dict:
         if self.path is None or not os.path.exists(self._meta_path()):
             return {"version": STORE_VERSION, "trained": {}}
-        with open(self._meta_path(), "r", encoding="utf-8") as fh:
-            try:
-                meta = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(
-                    f"observation store meta {self._meta_path()!s} is "
-                    f"not valid JSON: {exc}"
-                ) from None
-        if not isinstance(meta, dict):
-            raise ConfigurationError(
-                f"observation store meta {self._meta_path()!s}: "
-                "expected a JSON object"
-            )
-        return meta
+        return read_json_object(
+            self._meta_path(), ConfigurationError, "observation store meta"
+        )
 
     def _write_meta(self, meta: dict) -> None:
         if self.path is not None:
             atomic_write_json(meta, self._meta_path())
-
-    def _check_meta(self) -> None:
-        meta = self._read_meta()
-        version = meta.get("version", STORE_VERSION)
-        if version != STORE_VERSION:
-            raise ConfigurationError(
-                f"observation store {self.path!r} has version "
-                f"{version!r}; this build reads version {STORE_VERSION}"
-            )
-        if not os.path.exists(self._meta_path()):
-            self._write_meta(meta)
 
     # ------------------------------------------------------------------
     # appending
@@ -412,19 +372,7 @@ class ObservationStore:
         for shard in self._shards():
             if shard == self._writer_shard:
                 continue  # this writer's records come from memory
-            with open(
-                os.path.join(self.path, shard), "r", encoding="utf-8"
-            ) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue
-                    if isinstance(record, dict):
-                        yield record
+            yield from read_json_lines(os.path.join(self.path, shard))
         yield from list(self._writer_records)
 
     def __len__(self) -> int:
@@ -445,17 +393,10 @@ class ObservationStore:
         seq = 0
         while True:
             name = f"{_SHARD_PREFIX}{self.fingerprint}-{seq:04d}{_SHARD_SUFFIX}"
-            try:
-                fd = os.open(
-                    os.path.join(self.path, name),
-                    os.O_CREAT | os.O_EXCL | os.O_WRONLY,
-                )
-            except FileExistsError:
-                seq += 1
-                continue
-            os.close(fd)
-            self._writer_shard = name
-            return name
+            if claim_exclusive(os.path.join(self.path, name)):
+                self._writer_shard = name
+                return name
+            seq += 1
 
     def flush(self) -> None:
         """Persist this writer's records into its shard.
@@ -494,7 +435,7 @@ class ObservationStore:
         deterministic, so two merges of the same fleet produce the same
         store; re-merging an already-merged source adds nothing.
         """
-        with _obs_span("store.merge") as span:
+        with obs_span("store.merge") as span:
             index = self._ensure_hash_index()
             n_sources = 0
             records_read = 0
@@ -537,7 +478,7 @@ class ObservationStore:
         mid-prune leaves duplicates (collapsed by the next
         merge/ingest), never data loss.
         """
-        with _obs_span("store.prune", keep=int(keep)) as span:
+        with obs_span("store.prune", keep=int(keep)) as span:
             records = list(self)
             before = len(records)
             if before <= max(int(keep), 0):
@@ -701,7 +642,7 @@ class ObservationStore:
         """
         from repro.tuner.learn import LearnedTunerModel, save_model
 
-        with _obs_span("store.retrain", force=bool(force)) as span:
+        with obs_span("store.retrain", force=bool(force)) as span:
             # one scan resolves the regime, the staleness check and the
             # watermark count together; the fit below is the second (and
             # last) pass over the records

@@ -39,7 +39,6 @@ solver iteration, no random state.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -49,7 +48,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.tuner.features import MatrixFeatures
-from repro.utils.atomic import atomic_write_json
+from repro.utils.atomic import atomic_write_json, read_json_object
 
 __all__ = [
     "FEATURE_FIELDS",
@@ -459,17 +458,7 @@ def load_model(path: str | os.PathLike) -> LearnedTunerModel:
     Raises :class:`~repro.errors.ConfigurationError` on a version or
     feature-set mismatch, or a structurally invalid file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"learned tuner model {path!s} is not valid JSON: {exc}"
-            ) from None
-    if not isinstance(data, dict):
-        raise ConfigurationError(
-            f"learned tuner model {path!s}: expected a JSON object"
-        )
+    data = read_json_object(path, ConfigurationError, "learned tuner model")
     try:
         return LearnedTunerModel.from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:

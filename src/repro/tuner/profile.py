@@ -28,14 +28,13 @@ instead of silently misinterpreting fields.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 from repro.tuner.features import MatrixFeatures
-from repro.utils.atomic import atomic_write_json
+from repro.utils.atomic import atomic_write_json, read_json_object
 
 __all__ = [
     "MAX_OBSERVATIONS",
@@ -240,14 +239,8 @@ def load_profile(path: str | os.PathLike) -> TuningProfile:
     :class:`~repro.errors.ConfigurationError` on an unknown version or
     a structurally invalid file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(
-                f"tuning profile {path!s} is not valid JSON: {exc}"
-            ) from None
-    if not isinstance(data, dict) or "version" not in data:
+    data = read_json_object(path, ConfigurationError, "tuning profile")
+    if "version" not in data:
         raise ConfigurationError(
             f"tuning profile {path!s} has no version field"
         )

@@ -207,8 +207,11 @@ class TestAtomicWrite:
             from pathlib import Path
             a = Path("f").open("w")
             b = open("g", mode="wb")
+            Path("h").write_text("payload")
+            out = Path("i")
+            out.write_bytes(b"payload")
             """)
-        assert [f.line for f in findings] == [2, 3]
+        assert [f.line for f in findings] == [2, 3, 4, 6]
         assert rules_fired(findings) == {"atomic-write"}
 
     def test_reads_and_appends_are_clean(self, tmp_path):

@@ -110,6 +110,28 @@ def test_missing_file_is_error(capsys):
     assert main(["schedule", "--matrix", "/nonexistent.mtx"]) == 2
 
 
+def test_solve_with_torn_schedule_is_clean_error(matrix_file, tmp_path,
+                                                 capsys):
+    sched = tmp_path / "torn.json"
+    main(["schedule", "--matrix", matrix_file, "--cores", "4",
+          "--output", str(sched)])
+    text = sched.read_text()
+    sched.write_text(text[: len(text) // 2])
+    capsys.readouterr()
+    assert main(["solve", "--matrix", matrix_file,
+                 "--schedule", str(sched)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "torn.json" in err
+    assert "Traceback" not in err
+
+
+def test_obs_report_on_torn_metrics_is_clean_error(tmp_path, capsys):
+    (tmp_path / "metrics.json").write_text('{"counters": {"a": ')
+    assert main(["obs", "report", "--dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "metrics.json" in err
+
+
 def test_generate_all_kinds(tmp_path):
     for kind in ("erdos_renyi", "narrow_band", "grid2d", "rcm_mesh"):
         out = str(tmp_path / f"{kind}.mtx")

@@ -76,6 +76,17 @@ def test_malformed_payload():
         schedule_from_dict({"format_version": 1})
 
 
+@pytest.mark.parametrize(
+    "text", ['{"format_version": 1, "n": 4, "cor', "", "[0, 1, 2]", "7"],
+    ids=["torn", "empty", "array", "scalar"],
+)
+def test_damaged_json_file_is_config_error(tmp_path, text):
+    path = tmp_path / "s.json"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match="schedule file"):
+        load_schedule_json(path)
+
+
 def test_json_is_plain_text(tmp_path, sample):
     path = tmp_path / "s.json"
     save_schedule_json(sample, path)

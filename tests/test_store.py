@@ -22,7 +22,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, PlanArtifactCorruptError
 from repro.exec import PlanCache, get_backend
 from repro.experiments.datasets import DatasetInstance
 from repro.experiments.parallel import run_suite_parallel
@@ -48,6 +48,13 @@ from repro.tuner import (
     load_profile,
     save_model,
     save_profile,
+)
+from repro.utils.atomic import (
+    atomic_open,
+    claim_exclusive,
+    open_versioned_dir,
+    read_json_lines,
+    read_json_object,
 )
 
 CANDIDATES = ("growlocal", "hdagg", "wavefront")
@@ -219,7 +226,8 @@ class TestStoreBasics:
 
 
 # ---------------------------------------------------------------------------
-# atomic persistence (satellite: torn writes never lose the good file)
+# atomic persistence: the shared on-disk protocol (repro.utils.atomic);
+# torn writes never lose the good file
 # ---------------------------------------------------------------------------
 class TestAtomicWrites:
     def _assert_no_temp_litter(self, directory):
@@ -265,6 +273,67 @@ class TestAtomicWrites:
             store.flush()
         assert len(ObservationStore(path)) == 1
         self._assert_no_temp_litter(path)
+
+    def test_second_exclusive_claim_loses(self, tmp_path):
+        target = tmp_path / "key.lock"
+        assert claim_exclusive(target)
+        assert not claim_exclusive(target)
+        assert target.read_bytes() == b""
+
+    def test_binary_writer_failure_keeps_previous_file(self, tmp_path):
+        target = tmp_path / "payload.npz"
+        with atomic_open(target, "wb") as fh:
+            np.savez(fh, a=np.arange(4))
+        good = target.read_bytes()
+        with pytest.raises(RuntimeError):
+            with atomic_open(target, "wb") as fh:
+                fh.write(b"half a payload")
+                raise RuntimeError("writer died midway")
+        assert target.read_bytes() == good
+        self._assert_no_temp_litter(tmp_path)
+
+    @pytest.mark.parametrize(
+        "text", ['{"version": 1, "tra', "", "[1, 2]", '"text"'],
+        ids=["torn", "empty", "array", "string"],
+    )
+    @pytest.mark.parametrize(
+        "error", [ConfigurationError, PlanArtifactCorruptError]
+    )
+    def test_json_reader_raises_callers_error(self, tmp_path, text, error):
+        path = tmp_path / "meta.json"
+        path.write_text(text)
+        with pytest.raises(error, match="demo meta"):
+            read_json_object(path, error, "demo meta")
+
+    def test_jsonl_reader_skips_torn_and_non_object_lines(self, tmp_path):
+        path = tmp_path / "shard.jsonl"
+        path.write_text('{"a": 1}\n\n[1, 2]\n{"b": 2}\n{"c": ')
+        assert list(read_json_lines(path)) == [{"a": 1}, {"b": 2}]
+
+    def test_json_reader_leaves_missing_file_to_caller(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            read_json_object(tmp_path / "absent.json")
+
+    def test_versioned_dir_gate(self, tmp_path):
+        root = tmp_path / "gate"
+        fresh = {"version": 3}
+        with pytest.raises(ConfigurationError, match="does not exist"):
+            open_versioned_dir(root, "m.json", fresh, versions={3},
+                               what="demo", create=False)
+        open_versioned_dir(root, "m.json", fresh, versions={3}, what="demo")
+        open_versioned_dir(root, "m.json", fresh, versions={3}, what="demo")
+        assert json.loads((root / "m.json").read_text()) == fresh
+        with pytest.raises(ConfigurationError, match="has version 3"):
+            open_versioned_dir(root, "m.json", {"version": 4},
+                               versions={4}, what="demo")
+        (root / "m.json").write_text("{")
+        with pytest.raises(ConfigurationError, match="demo meta"):
+            open_versioned_dir(root, "m.json", fresh, versions={3},
+                               what="demo")
+        (tmp_path / "file").write_text("")
+        with pytest.raises(ConfigurationError, match="not a directory"):
+            open_versioned_dir(tmp_path / "file", "m.json", fresh,
+                               versions={3}, what="demo")
 
 
 # ---------------------------------------------------------------------------
